@@ -534,9 +534,9 @@ func (c *Cluster) WaitForHeight(target uint64, timeout time.Duration) error {
 	}
 }
 
-// PipelineStats reports the observer replica's per-stage pipeline
-// instrumentation (verify-queue wait, apply lag, digest fast-path
-// counters) — the replica-side view of where hot-path time goes.
+// PipelineStats reports the observer replica's hot-path
+// instrumentation (apply lag, WAL syncs, state-sync counters) — the
+// replica-side view of where hot-path time goes.
 func (c *Cluster) PipelineStats() metrics.PipelineStats {
 	return c.nodes[c.Observer()].Pipeline().Snapshot()
 }

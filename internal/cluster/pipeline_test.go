@@ -9,20 +9,16 @@ import (
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
-// pipelineConfig returns testConfig with all three pipeline stages
-// enabled: digest proposals, off-loop batch verification, and staged
-// commit.
+// pipelineConfig returns testConfig with the staged-commit stage on:
+// committed blocks execute on the ordered commit-apply goroutine.
 func pipelineConfig(proto string) config.Config {
 	cfg := testConfig(proto)
-	cfg.DigestProposals = true
-	cfg.AsyncVerify = true
 	cfg.AsyncCommit = true
 	return cfg
 }
 
 // TestPipelinedHappyPathAllProtocols mirrors the happy path for every
-// protocol with the full pipeline on: commits flow, replicas agree,
-// and the digest data plane actually resolves proposals.
+// protocol with staged commit on: commits flow and replicas agree.
 func TestPipelinedHappyPathAllProtocols(t *testing.T) {
 	for _, proto := range protocol.Names() {
 		proto := proto
@@ -47,21 +43,12 @@ func TestPipelinedHappyPathAllProtocols(t *testing.T) {
 			if v := c.Violations(); v != 0 {
 				t.Fatalf("%d safety violations", v)
 			}
-			p := c.AggregatePipeline()
-			if p.SigsVerified == 0 {
-				t.Fatal("verification pool never ran")
-			}
-			// OHS keeps full proposals (lightweight client path);
-			// every other protocol must resolve digests locally.
-			if proto != config.ProtocolOHS && p.DigestResolved == 0 {
-				t.Fatal("no digest proposal resolved from the mempool")
-			}
 		})
 	}
 }
 
-// TestPipelinedForkingAttack re-runs the forking adversary with the
-// pipeline on: the attack still degrades CGR (the pipeline must not
+// TestPipelinedForkingAttack re-runs the forking adversary with staged
+// commit on: the attack still degrades CGR (the apply stage must not
 // mask protocol behaviour) and safety still holds.
 func TestPipelinedForkingAttack(t *testing.T) {
 	cfg := pipelineConfig(config.ProtocolHotStuff)
@@ -74,7 +61,7 @@ func TestPipelinedForkingAttack(t *testing.T) {
 		t.Fatal("attack halted the chain entirely")
 	}
 	if stats.CGR >= 0.999 {
-		t.Fatalf("CGR = %.3f; forking attack had no effect under the pipeline", stats.CGR)
+		t.Fatalf("CGR = %.3f; forking attack had no effect under staged commit", stats.CGR)
 	}
 	if err := c.ConsistencyCheck(); err != nil {
 		t.Fatal(err)
@@ -84,8 +71,8 @@ func TestPipelinedForkingAttack(t *testing.T) {
 	}
 }
 
-// TestPipelinedSilenceAttack re-runs the silence adversary with the
-// pipeline on.
+// TestPipelinedSilenceAttack re-runs the silence adversary with staged
+// commit on.
 func TestPipelinedSilenceAttack(t *testing.T) {
 	cfg := pipelineConfig(config.ProtocolHotStuff)
 	cfg.ByzNo = 1
@@ -106,7 +93,7 @@ func TestPipelinedSilenceAttack(t *testing.T) {
 }
 
 // TestPipelinedEquivocationSafety re-runs the equivocating leader with
-// the pipeline on: quorum intersection still starves one twin.
+// staged commit on: quorum intersection still starves one twin.
 func TestPipelinedEquivocationSafety(t *testing.T) {
 	cfg := pipelineConfig(config.ProtocolHotStuff)
 	cfg.ByzNo = 1

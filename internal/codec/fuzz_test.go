@@ -2,13 +2,15 @@ package codec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
 
 // FuzzDecode feeds the decoder hostile byte streams. The seed corpus
-// is one valid frame per registered message plus truncations and bit
-// flips of each; the fuzzer mutates from there. The properties under
+// is one valid frame per registered message, plus the retired frames
+// a stale peer could still send, plus truncations and bit flips of
+// each; the fuzzer mutates from there. The properties under
 // test:
 //
 //   - hostile bytes never panic the decoder;
@@ -32,17 +34,14 @@ func FuzzDecode(f *testing.F) {
 		if err := enc.Flush(); err != nil {
 			f.Fatal(err)
 		}
-		frame := buf.Bytes()
-		f.Add(append([]byte(nil), frame...))
-		if len(frame) > 7 {
-			f.Add(append([]byte(nil), frame[:len(frame)-3]...))
-			f.Add(append([]byte(nil), frame[:5]...))
+		addFrameSeeds(f, buf.Bytes())
+	}
+	for _, rf := range retiredFrames {
+		frame, err := hex.DecodeString(rf.frame)
+		if err != nil {
+			f.Fatal(err)
 		}
-		for _, pos := range []int{0, 4, 5, 6, len(frame) / 2, len(frame) - 1} {
-			flipped := append([]byte(nil), frame...)
-			flipped[pos] ^= 0x41
-			f.Add(flipped)
-		}
+		addFrameSeeds(f, frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data))
@@ -75,4 +74,19 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// addFrameSeeds adds a frame, two truncations, and six bit flips of it
+// to the fuzz corpus.
+func addFrameSeeds(f *testing.F, frame []byte) {
+	f.Add(append([]byte(nil), frame...))
+	if len(frame) > 7 {
+		f.Add(append([]byte(nil), frame[:len(frame)-3]...))
+		f.Add(append([]byte(nil), frame[:5]...))
+	}
+	for _, pos := range []int{0, 4, 5, 6, len(frame) / 2, len(frame) - 1} {
+		flipped := append([]byte(nil), frame...)
+		flipped[pos] ^= 0x41
+		f.Add(flipped)
+	}
 }

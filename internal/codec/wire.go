@@ -31,7 +31,7 @@ import (
 func bodySize(msg any) int {
 	switch m := msg.(type) {
 	case types.ProposalMsg:
-		return sizeBlockPtr(m.Block) + sizeTCPtr(m.TC) + 4 + 16*len(m.PayloadIDs)
+		return sizeBlockPtr(m.Block) + sizeTCPtr(m.TC) + 4
 	case types.VoteMsg:
 		return sizeVotePtr(m.Vote)
 	case types.TimeoutMsg:
@@ -56,12 +56,6 @@ func bodySize(msg any) int {
 		return 12 + sizeBytes(m.Data)
 	case types.RequestMsg:
 		return sizeTx(&m.Tx)
-	case types.PayloadBatchMsg:
-		n := 4
-		for i := range m.Txs {
-			n += sizeTx(&m.Txs[i])
-		}
-		return n
 	case types.ReplyMsg:
 		return 16 + 8 + 32 + 1
 	case types.QueryMsg:
@@ -145,12 +139,10 @@ func appendBody(b []byte, msg any) []byte {
 	case types.ProposalMsg:
 		b = appendBlockPtr(b, m.Block)
 		b = appendTCPtr(b, m.TC)
-		b = appendU32(b, uint32(len(m.PayloadIDs)))
-		for _, id := range m.PayloadIDs {
-			b = appendU64(b, id.Client)
-			b = appendU64(b, id.Seq)
-		}
-		return b
+		// The retired digest-proposal payload-ID count: always zero,
+		// kept so the proposal layout stays byte-identical within
+		// WireVersion 1.
+		return appendU32(b, 0)
 	case types.VoteMsg:
 		return appendVotePtr(b, m.Vote)
 	case types.TimeoutMsg:
@@ -192,12 +184,6 @@ func appendBody(b []byte, msg any) []byte {
 		return appendBytes(b, m.Data)
 	case types.RequestMsg:
 		return appendTx(b, &m.Tx)
-	case types.PayloadBatchMsg:
-		b = appendU32(b, uint32(len(m.Txs)))
-		for i := range m.Txs {
-			b = appendTx(b, &m.Txs[i])
-		}
-		return b
 	case types.ReplyMsg:
 		b = appendU64(b, m.TxID.Client)
 		b = appendU64(b, m.TxID.Seq)
@@ -261,8 +247,8 @@ func appendBlockPtr(b []byte, blk *types.Block) []byte {
 	for i := range blk.Payload {
 		b = appendTx(b, &blk.Payload[i])
 	}
-	// The digest travels explicitly so stripped (digest-only) blocks
-	// decode with their payload commitment intact.
+	// The digest travels explicitly so stripped blocks (snapshot
+	// manifests) decode with their payload commitment intact.
 	b = append(b, blk.Digest[:]...)
 	return appendBytes(b, blk.Sig)
 }
@@ -561,11 +547,8 @@ func decodeBody(tag types.WireTag, body []byte) (any, error) {
 	switch tag {
 	case types.TagProposal:
 		m := types.ProposalMsg{Block: r.block(), TC: r.tc()}
-		if n := r.count(16, "payload id"); n > 0 {
-			m.PayloadIDs = make([]types.TxID, n)
-			for i := range m.PayloadIDs {
-				m.PayloadIDs[i] = types.TxID{Client: r.u64(), Seq: r.u64()}
-			}
+		if r.u32() != 0 {
+			r.fail("retired digest-proposal payload ids")
 		}
 		msg = m
 	case types.TagVote:
@@ -604,8 +587,6 @@ func decodeBody(tag types.WireTag, body []byte) (any, error) {
 		var m types.RequestMsg
 		r.tx(&m.Tx)
 		msg = m
-	case types.TagPayloadBatch:
-		msg = types.PayloadBatchMsg{Txs: r.txs()}
 	case types.TagReply:
 		m := types.ReplyMsg{TxID: types.TxID{Client: r.u64(), Seq: r.u64()}, View: types.View(r.u64()), BlockID: r.hash()}
 		m.Rejected = r.u8() == 1

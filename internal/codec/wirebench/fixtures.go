@@ -49,10 +49,8 @@ func benchTxs(n, cmd int) []types.Transaction {
 
 // Fixtures returns the hot-path message mix the wire benchmarks
 // measure: the paper's default block (400 transactions of 128-byte
-// payload), the digest-mode variant of the same proposal, the vote
-// that certifies it, and the payload batch that replicates its
-// transactions off the critical path. Together these are the bytes a
-// replica actually moves per committed block.
+// payload) and the vote that certifies it. Together these are the
+// bytes a replica actually moves per committed block.
 func Fixtures() []Fixture {
 	const blockSize = 400
 	txs := benchTxs(blockSize, 128)
@@ -64,24 +62,10 @@ func Fixtures() []Fixture {
 		Payload:  txs,
 		Sig:      make([]byte, sigSize),
 	}
-	digest := &types.Block{
-		View:     42,
-		Proposer: 2,
-		Parent:   types.Hash{0xAB},
-		QC:       benchQC(41, types.Hash{0xAB}),
-		Digest:   types.Hash{0xCD},
-		Sig:      make([]byte, sigSize),
-	}
-	ids := make([]types.TxID, blockSize)
-	for i := range ids {
-		ids[i] = types.TxID{Client: uint64(i%16 + 1), Seq: uint64(i)}
-	}
 	return []Fixture{
 		{"proposal-400", types.ProposalMsg{Block: full}},
-		{"proposal-digest", types.ProposalMsg{Block: digest, PayloadIDs: ids}},
 		{"vote", types.VoteMsg{Vote: &types.Vote{
 			View: 42, BlockID: types.Hash{0xEF}, Voter: 3, Sig: make([]byte, sigSize),
 		}}},
-		{"payload-batch-400", types.PayloadBatchMsg{Txs: txs}},
 	}
 }

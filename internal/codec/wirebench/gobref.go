@@ -43,7 +43,6 @@ func registerGobTypes() {
 		gob.Register(types.SnapshotManifestMsg{})
 		gob.Register(types.SnapshotChunkMsg{})
 		gob.Register(types.RequestMsg{})
-		gob.Register(types.PayloadBatchMsg{})
 		gob.Register(types.ReplyMsg{})
 		gob.Register(types.QueryMsg{})
 		gob.Register(types.QueryReplyMsg{})

@@ -35,9 +35,9 @@ type applyJob struct {
 	install *snapshot.Snapshot
 }
 
-// applier is pipeline stage 3: an ordered commit-apply goroutine that
-// runs the Execute hook and the ledger append off the event loop, so
-// block execution no longer stalls voting. The queue is bounded; when
+// applier is the staged-commit stage: an ordered commit-apply
+// goroutine that runs the Execute hook and the ledger append off the
+// event loop, so block execution no longer stalls voting. The queue is bounded; when
 // execution lags more than ApplyQueue blocks behind consensus, the
 // enqueue blocks the event loop — deliberate backpressure that slows
 // voting instead of growing an unbounded backlog.

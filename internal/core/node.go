@@ -136,15 +136,6 @@ type Node struct {
 
 	// pendingQCs holds certificates for blocks not yet attached.
 	pendingQCs map[types.Hash]*types.QC
-	// digestWait tracks digest proposals parked awaiting their
-	// payload on the data plane, keyed by block ID with the retry
-	// attempt already taken (fetch fallback after the budget).
-	digestWait map[types.Hash]int
-	// syncBuf accumulates client transactions awaiting the next
-	// payload-sync broadcast (digest mode's data plane); syncArmed
-	// tracks whether a flush timer is pending.
-	syncBuf   []types.Transaction
-	syncArmed bool
 	// echoSeen deduplicates echoed messages (Streamlet).
 	echoSeen map[types.Hash]struct{}
 	// owned maps transactions this replica accepted to the client
@@ -164,12 +155,9 @@ type Node struct {
 	tracker  *metrics.ChainTracker
 	pipeline *metrics.PipelineTracker
 	trace    *trace.Tracer
-	// verif, when non-nil (cfg.AsyncVerify), checks signatures off
-	// the event loop (pipeline stage 2).
-	verif *verifier
 	// apply, when non-nil (cfg.AsyncCommit plus an Execute hook or
-	// ledger), executes committed blocks off the event loop
-	// (pipeline stage 3).
+	// ledger), executes committed blocks off the event loop (the
+	// staged-commit stage).
 	apply *applier
 	opts  Options
 	// commitListeners run on the event loop for each committed
@@ -203,16 +191,6 @@ type proposeEvent struct {
 	view types.View
 	tc   *types.TC
 }
-
-// digestRetryEvent re-delivers a parked digest proposal after the
-// data-plane wait (see parkDigest).
-type digestRetryEvent struct {
-	from types.NodeID
-	msg  types.ProposalMsg
-}
-
-// flushPayloadEvent fires the payload-sync flush timer (digest mode).
-type flushPayloadEvent struct{}
 
 // NewNode assembles a replica. The rules factory receives the node's
 // forest-backed environment; Byzantine nodes (per cfg) get their rules
@@ -262,7 +240,6 @@ func NewNode(id types.NodeID, cfg config.Config, factory safety.Factory,
 		net:        net,
 		scheme:     scheme,
 		pendingQCs: make(map[types.Hash]*types.QC),
-		digestWait: make(map[types.Hash]int),
 		echoSeen:   make(map[types.Hash]struct{}),
 		owned:      make(map[types.TxID]types.NodeID),
 		tracker:    &metrics.ChainTracker{},
@@ -284,8 +261,8 @@ func (n *Node) ID() types.NodeID { return n.id }
 // Tracker exposes the chain micro-metrics (CGR, BI).
 func (n *Node) Tracker() *metrics.ChainTracker { return n.tracker }
 
-// Pipeline exposes the per-stage hot-path instrumentation: verify
-// queue wait, apply lag, and the digest/batch fast-path counters.
+// Pipeline exposes the hot-path instrumentation: staged-commit apply
+// lag, WAL syncs, and the state-sync and restart-replay counters.
 func (n *Node) Pipeline() *metrics.PipelineTracker { return n.pipeline }
 
 // Trace exposes the block-lifecycle tracer (GET /debug/trace reads
@@ -385,19 +362,16 @@ func (n *Node) AddRejectListener(fn func(types.TxID)) {
 }
 
 // Start launches the event loop plus, per configuration, the
-// verification pool and the commit-apply stage. With Bootstrap set,
-// the replica first replays its own snapshot + ledger into forest and
-// state machine, so it rejoins at the height it went down at. The
-// first leader proposes once its view timer is armed; all other
-// replicas follow the QC chain.
+// commit-apply stage. With Bootstrap set, the replica first replays
+// its own snapshot + ledger into forest and state machine, so it
+// rejoins at the height it went down at. The first leader proposes
+// once its view timer is armed; all other replicas follow the QC
+// chain.
 func (n *Node) Start() {
 	if n.opts.Bootstrap {
 		n.bootstrap()
 	}
 	n.restoreSafety()
-	if n.cfg.AsyncVerify {
-		n.verif = newVerifier(n, n.cfg.VerifyWorkers)
-	}
 	if n.cfg.AsyncCommit && (n.opts.Execute != nil || n.opts.Ledger != nil) {
 		n.apply = newApplier(n, n.cfg.ApplyQueue)
 	}
@@ -405,17 +379,14 @@ func (n *Node) Start() {
 	go n.run()
 }
 
-// Stop terminates the event loop, then drains the pipeline stages:
-// the verification pool is joined, and every block committed before
-// shutdown finishes executing before Stop returns.
+// Stop terminates the event loop, then drains the commit-apply stage:
+// every block committed before shutdown finishes executing before Stop
+// returns.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopCh)
 		<-n.doneCh
 		n.pm.Stop()
-		if n.verif != nil {
-			n.verif.stop()
-		}
 		if n.apply != nil {
 			n.apply.stop()
 		}
@@ -440,52 +411,19 @@ func (n *Node) run() {
 			if !ok {
 				return
 			}
-			n.dispatch(env.From, env.Msg)
+			n.route(env.From, env.Msg, env.From == n.id)
 		case ev := <-n.events:
-			n.dispatch(n.id, ev)
+			n.route(n.id, ev, true)
 		case view := <-n.pm.TimeoutChan():
 			n.onLocalTimeout(view)
 		}
 	}
 }
 
-// dispatch routes one event on the loop goroutine. Messages from this
-// replica itself and re-injected verifier output count as verified;
-// everything else still needs its signatures checked.
-func (n *Node) dispatch(from types.NodeID, msg any) {
-	if env, ok := msg.(verifiedEnv); ok {
-		n.route(env.from, env.msg, true)
-		return
-	}
-	n.route(from, msg, from == n.id)
-}
-
-// route handles one event, offloading signature checks to the
-// verification pool when stage 2 is enabled. If the pool's queue is
-// full the message is verified inline — bounded memory beats backlog.
+// route handles one event on the loop goroutine. Messages from this
+// replica itself count as verified; everything else still needs its
+// signatures checked.
 func (n *Node) route(from types.NodeID, msg any, verified bool) {
-	if !verified && n.verif != nil {
-		offload := false
-		switch m := msg.(type) {
-		case types.ProposalMsg:
-			// Duplicates (echo traffic) die on the seen-check for a
-			// map lookup; don't pay pool crypto for them.
-			offload = m.Block == nil || !n.forest.Contains(m.Block.ID())
-			if offload && m.Block != nil && m.Block.QC != nil {
-				// The span's receive stamp is arrival, before any
-				// verification queueing — the verify stage starts here.
-				n.trace.OnReceived(m.Block.ID(), m.Block.View, m.Block.Proposer, len(m.Block.Payload))
-			}
-		case types.VoteMsg, types.TimeoutMsg, types.TCMsg:
-			offload = true
-		}
-		if offload {
-			if n.verif.submit(from, msg) {
-				return
-			}
-			n.pipeline.OnInlineVerify()
-		}
-	}
 	switch m := msg.(type) {
 	case types.ProposalMsg:
 		n.onProposal(from, m, verified)
@@ -503,7 +441,7 @@ func (n *Node) route(from types.NodeID, msg any, verified bool) {
 		n.onSyncRequest(from, m)
 	case types.SyncResponseMsg:
 		// Self-authenticating: the handler verifies the embedded
-		// certificates, so the pool's verified flag is irrelevant.
+		// certificates, so the verified flag is irrelevant.
 		n.onSyncResponse(from, m)
 	case types.SnapshotRequestMsg:
 		n.onSnapshotRequest(from, m)
@@ -524,13 +462,6 @@ func (n *Node) route(from types.NodeID, msg any, verified bool) {
 		// modelled there).
 	case proposeEvent:
 		n.propose(m.view, m.tc)
-	case digestRetryEvent:
-		n.onDigestRetry(m.from, m.msg)
-	case types.PayloadBatchMsg:
-		n.onPayloadBatch(m)
-	case flushPayloadEvent:
-		n.syncArmed = false
-		n.flushPayloadSync()
 	}
 }
 
@@ -563,8 +494,8 @@ func (n *Node) noteSnapshot(height uint64, digest types.Hash) {
 // onExecuted stamps a block's execution completion and feeds its
 // per-stage durations into the chain tracker's stage histograms.
 // Called from the event loop (inline commit path) or the commit-apply
-// goroutine (stage 3); both the tracer and the stage histograms are
-// safe for that.
+// goroutine (staged commit); both the tracer and the stage histograms
+// are safe for that.
 func (n *Node) onExecuted(id types.Hash) {
 	sp, ok := n.trace.OnExecuted(id)
 	if !ok {

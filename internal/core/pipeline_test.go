@@ -6,28 +6,52 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bamboo-bft/bamboo/internal/config"
 	"github.com/bamboo-bft/bamboo/internal/crypto"
 	"github.com/bamboo-bft/bamboo/internal/network"
 	"github.com/bamboo-bft/bamboo/internal/protocol/hotstuff"
 	"github.com/bamboo-bft/bamboo/internal/types"
 )
 
-// pipelineCfg enables all three pipeline stages on the test config.
-func pipelineCfg() config.Config {
-	cfg := testCfg()
-	cfg.DigestProposals = true
-	cfg.AsyncVerify = true
-	cfg.AsyncCommit = true
-	return cfg
-}
-
-// TestPipelinedEngineSurvivesMalformedMessages floods a pipelined
-// cluster with the same hostile garbage as the synchronous test: the
-// verification pool must reject forgeries off-loop without panics,
-// stalls, or safety violations.
+// TestPipelinedEngineSurvivesMalformedMessages floods a cluster
+// running the staged commit-apply stage with the same hostile garbage
+// as the synchronous test: replicas must keep committing and
+// executing blocks without panics, stalls, or safety violations.
 func TestPipelinedEngineSurvivesMalformedMessages(t *testing.T) {
-	nodes, raw := startSwitchClusterCfg(t, pipelineCfg(), 666)
+	cfg := testCfg()
+	cfg.AsyncCommit = true
+	sw := network.NewSwitch(nil)
+	scheme, err := crypto.NewScheme(cfg.CryptoScheme, cfg.N, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The commit-apply stage only runs behind an Execute hook; count
+	// what replica 1 executes.
+	var executed atomic.Uint64
+	nodes := make([]*Node, 0, cfg.N)
+	for i := 1; i <= cfg.N; i++ {
+		id := types.NodeID(i)
+		ep, err := sw.Join(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{OnViolation: func(err error) { t.Errorf("violation: %v", err) }}
+		if id == 1 {
+			opts.Execute = func(txs []types.Transaction) { executed.Add(uint64(len(txs))) }
+		}
+		nodes = append(nodes, NewNode(id, cfg, hotstuff.New, ep, scheme, opts))
+	}
+	for _, n := range nodes {
+		n.Start()
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+	raw, err := sw.JoinClient(666)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nodes[0].Submit(types.Transaction{ID: types.TxID{Client: 1, Seq: 1}})
 	waitProgress(t, nodes, 0)
 
@@ -38,21 +62,16 @@ func TestPipelinedEngineSurvivesMalformedMessages(t *testing.T) {
 		types.TimeoutMsg{},
 		types.TCMsg{},
 		types.FetchMsg{BlockID: types.Hash{0xde, 0xad}},
-		types.PayloadBatchMsg{},
-		types.PayloadBatchMsg{Txs: make([]types.Transaction, 3)},
 		"junk",
 	}
 	forged := []any{
 		types.ProposalMsg{Block: &types.Block{
 			View: 5, Proposer: 1, QC: types.GenesisQC(), Sig: []byte("forged"),
 		}},
-		types.ProposalMsg{
-			Block: &types.Block{
-				View: 6, Proposer: 2, QC: types.GenesisQC(), Sig: []byte("x"),
-				Digest: types.Hash{0xaa},
-			},
-			PayloadIDs: []types.TxID{{Client: 9, Seq: 9}},
-		},
+		types.ProposalMsg{Block: &types.Block{
+			View: 6, Proposer: 2, QC: types.GenesisQC(), Sig: []byte("x"),
+			Digest: types.Hash{0xaa},
+		}},
 		types.VoteMsg{Vote: &types.Vote{View: 2, Voter: 2, Sig: []byte("forged")}},
 		types.VoteMsg{Vote: &types.Vote{View: 1 << 40, Voter: 3, Sig: []byte("future")}},
 		types.TimeoutMsg{Timeout: &types.Timeout{View: 1 << 40, Voter: 3, Sig: []byte("future")}},
@@ -76,69 +95,18 @@ func TestPipelinedEngineSurvivesMalformedMessages(t *testing.T) {
 			t.Fatalf("node %s reported safety violations under hostile traffic", n.ID())
 		}
 	}
-	// The pool, not the loop, must have rejected the forgeries.
-	var rejected uint64
-	for _, n := range nodes {
-		rejected += n.Pipeline().Snapshot().VerifyRejected
-	}
-	if rejected == 0 {
-		t.Fatal("verification pool rejected nothing despite forged traffic")
-	}
-}
-
-// TestDigestMissFallsBackToFetch crafts a digest proposal whose
-// transactions no replica holds: the follower must park it, retry,
-// and then fetch the full block from the sender — the data-plane
-// fallback path — without crashing or voting for an unresolved block.
-func TestDigestMissFallsBackToFetch(t *testing.T) {
-	cfg := pipelineCfg()
-	nodes, raw := startSwitchClusterCfg(t, cfg, 777)
-	nodes[0].Submit(types.Transaction{ID: types.TxID{Client: 1, Seq: 1}})
-	waitProgress(t, nodes, 0)
-
-	// Sign as the legitimate leader of a far-enough view (HMAC test
-	// scheme shares the key, standing in for a compromised replica).
-	scheme, err := crypto.NewScheme(cfg.CryptoScheme, cfg.N, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []types.Transaction{{ID: types.TxID{Client: 42, Seq: 1}, Command: []byte("ghost")}}
-	view := nodes[3].Status().CurView + 1
-	leader := types.NodeID((uint64(view)-1)%uint64(cfg.N) + 1) // round robin
-	b := &types.Block{
-		View:     view,
-		Proposer: leader,
-		Parent:   types.Hash{0xcc},
-		QC:       types.GenesisQC(),
-		Digest:   types.DigestPayload(payload),
-	}
-	sig, err := scheme.Sign(leader, types.SigningDigest(b.View, b.ID()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Sig = sig
-	target := types.NodeID(4)
-	if target == leader {
-		target = 3
-	}
-	raw.Send(target, types.ProposalMsg{
-		Block:      b,
-		PayloadIDs: []types.TxID{payload[0].ID},
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		select {
-		case env := <-raw.Inbox():
-			if fm, ok := env.Msg.(types.FetchMsg); ok {
-				if fm.BlockID != b.ID() {
-					t.Fatalf("fetch for wrong block: %s", fm.BlockID)
-				}
-				return // fallback worked
-			}
-		case <-time.After(time.Until(deadline)):
-			t.Fatal("no fetch fallback for unresolvable digest proposal")
+	// Both transactions must still come out of the commit-apply
+	// stage, which runs behind the event loop.
+	deadline := time.Now().Add(10 * time.Second)
+	for executed.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("commit-apply stage executed %d of 2 transactions under hostile traffic",
+				executed.Load())
 		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if nodes[0].Pipeline().Snapshot().BlocksApplied == 0 {
+		t.Fatal("commit-apply stage never ran")
 	}
 }
 
@@ -146,162 +114,93 @@ func TestDigestMissFallsBackToFetch(t *testing.T) {
 // payload only through its digest, so a proposal whose inline payload
 // does not hash to the carried digest must be dropped — otherwise a
 // Byzantine proposer could commit one block ID with divergent
-// payloads on different replicas. Runs in both verification modes,
-// against a single isolated replica: with no quorum the view is
-// pinned and nothing commits, so the forest neither prunes forks nor
-// compacts — attachment is directly and stably observable through
-// the fetch path.
+// payloads on different replicas. Runs against a single isolated
+// replica: with no quorum the view is pinned and nothing commits, so
+// the forest neither prunes forks nor compacts — attachment is
+// directly and stably observable through the fetch path.
 func TestTamperedPayloadDigestRejected(t *testing.T) {
-	for _, mode := range []string{"sync", "async"} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := testCfg()
-			cfg.AsyncVerify = mode == "async"
-			sw := network.NewSwitch(nil)
-			// Only replica 4 runs; peers 1-3 exist solely as signing
-			// identities (HMAC's shared key stands in for a Byzantine
-			// proposer forging their votes).
-			ep, err := sw.Join(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scheme, err := crypto.NewScheme(cfg.CryptoScheme, cfg.N, cfg.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			node := NewNode(4, cfg, hotstuff.New, ep, scheme, Options{})
-			node.Start()
-			t.Cleanup(node.Stop)
-			raw, err := sw.JoinClient(888)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			payload := []types.Transaction{{ID: types.TxID{Client: 50, Seq: 1}, Command: []byte("real")}}
-			otherPayload := []types.Transaction{{ID: types.TxID{Client: 50, Seq: 2}, Command: []byte("fake")}}
-			mk := func(p []types.Transaction, digest types.Hash) *types.Block {
-				// View 1's leader is replica 1 under round robin.
-				b := &types.Block{
-					View:     1,
-					Proposer: 1,
-					Parent:   types.Genesis().ID(),
-					QC:       types.GenesisQC(),
-					Payload:  p,
-					Digest:   digest,
-				}
-				sig, err := scheme.Sign(1, types.SigningDigest(b.View, b.ID()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				b.Sig = sig
-				return b
-			}
-			// Tampered: inline payload does not hash to the carried
-			// digest. Honest control: digest computed from payload.
-			tampered := mk(payload, types.DigestPayload(otherPayload))
-			honest := mk(payload, types.Hash{})
-			raw.Send(4, types.ProposalMsg{Block: tampered})
-			raw.Send(4, types.ProposalMsg{Block: honest})
-
-			// Observe through the fetch path: an attached block is
-			// servable; a rejected one is not.
-			fetchable := func(id types.Hash, wait time.Duration) bool {
-				deadline := time.After(wait)
-				raw.Send(4, types.FetchMsg{BlockID: id})
-				for {
-					select {
-					case env := <-raw.Inbox():
-						if pm, ok := env.Msg.(types.ProposalMsg); ok && pm.Block != nil && pm.Block.ID() == id {
-							return true
-						}
-					case <-deadline:
-						return false
-					}
-				}
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for !fetchable(honest.ID(), 100*time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("control block with a consistent digest was not attached")
-				}
-			}
-			if fetchable(tampered.ID(), 300*time.Millisecond) {
-				t.Fatal("proposal with a tampered payload digest was attached")
-			}
-		})
-	}
-}
-
-// TestParkedProposalForgedTCNotTrusted: a digest proposal that parks
-// and later resolves must not re-deliver its piggybacked TC as
-// pre-verified — in sync-digest mode the TC was never pool-checked,
-// and a forged one would advance the view without a quorum.
-func TestParkedProposalForgedTCNotTrusted(t *testing.T) {
-	cfg := testCfg()
-	cfg.DigestProposals = true // sync verify + digest: the exposed combination
-	sw := network.NewSwitch(nil)
-	ep, err := sw.Join(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := crypto.NewScheme(cfg.CryptoScheme, cfg.N, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := NewNode(4, cfg, hotstuff.New, ep, scheme, Options{})
-	node.Start()
-	t.Cleanup(node.Stop)
-	raw, err := sw.JoinClient(889)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	payload := []types.Transaction{{ID: types.TxID{Client: 60, Seq: 1}, Command: []byte("x")}}
-	b := &types.Block{
-		View:     1,
-		Proposer: 1,
-		Parent:   types.Genesis().ID(),
-		QC:       types.GenesisQC(),
-		Digest:   types.DigestPayload(payload),
-	}
-	sig, err := scheme.Sign(1, types.SigningDigest(b.View, b.ID()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Sig = sig
-	forgedTC := &types.TC{
-		View:    1 << 30,
-		Signers: []types.NodeID{1, 2, 3},
-		Sigs:    [][]byte{[]byte("no"), []byte("nope"), []byte("never")},
-	}
-	// Digest proposal with an unresolvable payload parks; the payload
-	// arrives on the data plane moments later, triggering the retry
-	// path that re-enters onProposal with the piggybacked TC.
-	raw.Send(4, types.ProposalMsg{
-		Block:      b,
-		TC:         forgedTC,
-		PayloadIDs: []types.TxID{payload[0].ID},
-	})
-	raw.Send(4, types.PayloadBatchMsg{Txs: payload})
-
-	// The retry resolves and attaches the block...
-	deadline := time.Now().Add(5 * time.Second)
-	for node.Pipeline().Snapshot().DigestResolved == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("parked digest proposal never resolved")
+	t.Run("sync", func(t *testing.T) {
+		cfg := testCfg()
+		sw := network.NewSwitch(nil)
+		// Only replica 4 runs; peers 1-3 exist solely as signing
+		// identities (HMAC's shared key stands in for a Byzantine
+		// proposer forging their votes).
+		ep, err := sw.Join(4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// ...but the forged TC must not have advanced the view.
-	if v := node.Status().CurView; v >= 1<<30 {
-		t.Fatalf("forged TC on the retry path advanced the view to %d", v)
-	}
+		scheme, err := crypto.NewScheme(cfg.CryptoScheme, cfg.N, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := NewNode(4, cfg, hotstuff.New, ep, scheme, Options{})
+		node.Start()
+		t.Cleanup(node.Stop)
+		raw, err := sw.JoinClient(888)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		payload := []types.Transaction{{ID: types.TxID{Client: 50, Seq: 1}, Command: []byte("real")}}
+		otherPayload := []types.Transaction{{ID: types.TxID{Client: 50, Seq: 2}, Command: []byte("fake")}}
+		mk := func(p []types.Transaction, digest types.Hash) *types.Block {
+			// View 1's leader is replica 1 under round robin.
+			b := &types.Block{
+				View:     1,
+				Proposer: 1,
+				Parent:   types.Genesis().ID(),
+				QC:       types.GenesisQC(),
+				Payload:  p,
+				Digest:   digest,
+			}
+			sig, err := scheme.Sign(1, types.SigningDigest(b.View, b.ID()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Sig = sig
+			return b
+		}
+		// Tampered: inline payload does not hash to the carried
+		// digest. Honest control: digest computed from payload.
+		tampered := mk(payload, types.DigestPayload(otherPayload))
+		honest := mk(payload, types.Hash{})
+		raw.Send(4, types.ProposalMsg{Block: tampered})
+		raw.Send(4, types.ProposalMsg{Block: honest})
+
+		// Observe through the fetch path: an attached block is
+		// servable; a rejected one is not.
+		fetchable := func(id types.Hash, wait time.Duration) bool {
+			deadline := time.After(wait)
+			raw.Send(4, types.FetchMsg{BlockID: id})
+			for {
+				select {
+				case env := <-raw.Inbox():
+					if pm, ok := env.Msg.(types.ProposalMsg); ok && pm.Block != nil && pm.Block.ID() == id {
+						return true
+					}
+				case <-deadline:
+					return false
+				}
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for !fetchable(honest.ID(), 100*time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("control block with a consistent digest was not attached")
+			}
+		}
+		if fetchable(tampered.ID(), 300*time.Millisecond) {
+			t.Fatal("proposal with a tampered payload digest was attached")
+		}
+	})
 }
 
 // TestStagedCommitAppliesInOrder: with AsyncCommit on, the Execute
 // hook observes every committed payload exactly once, in commit
 // order, and Stop drains the backlog.
 func TestStagedCommitAppliesInOrder(t *testing.T) {
-	cfg := pipelineCfg()
+	cfg := testCfg()
+	cfg.AsyncCommit = true
 	sw := network.NewSwitch(nil)
 	transports := make(map[types.NodeID]network.Transport, cfg.N)
 	for i := 1; i <= cfg.N; i++ {

@@ -119,6 +119,11 @@ type syncEpisode struct {
 	nextChunk   uint32
 	chunkSeen   uint32
 	chunkStalls int
+	// applying is set while a verified blocks-phase batch is being
+	// applied: commit counts what it commits as sync-applied before
+	// publishing the new height, so the status surface never shows a
+	// synced height the counters have not caught up with.
+	applying bool
 }
 
 // syncRetryEvent re-checks a catch-up round that may have stalled
@@ -419,6 +424,8 @@ func (n *Node) onSyncResponse(from types.NodeID, m types.SyncResponseMsg) {
 		n.endSync()
 		return
 	}
+	n.catchup.applying = true
+	defer func() { n.catchup.applying = false }()
 	for i := 0; i < applyCount; i++ {
 		b := blocks[i]
 		if !n.forest.Contains(b.ID()) {
@@ -447,9 +454,6 @@ func (n *Node) onSyncResponse(from types.NodeID, m types.SyncResponseMsg) {
 	// The first held-back block's certificate covers the applied tip.
 	n.handleQC(blocks[applyCount].QC)
 	n.commit(blocks[applyCount-1])
-	if gained := n.forest.CommittedHeight() - before; gained > 0 {
-		n.pipeline.OnSyncApplied(gained)
-	}
 	n.catchup.lastHeight = n.forest.CommittedHeight()
 	if m.Head > n.catchup.lastHeight+syncHoldback {
 		n.sendSyncRequest()

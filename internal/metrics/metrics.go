@@ -97,11 +97,9 @@ func (l *Latency) Snapshot() LatencySummary {
 			if cum >= target {
 				// A bucket's upper bound can overshoot the largest
 				// sample it holds; the observed maximum is a tighter
-				// truth for the top buckets.
-				if u := bucketUpper(i); u < l.max || l.max == 0 {
-					return u
-				}
-				return l.max
+				// truth for the top buckets (and for an all-zero
+				// distribution, whose quantiles are all zero).
+				return min(bucketUpper(i), l.max)
 			}
 		}
 		return l.max

@@ -58,6 +58,16 @@ func TestLatencyQuantileAccuracy(t *testing.T) {
 	if s.P50 > s.P95 || s.P95 > s.P99 {
 		t.Errorf("quantiles not monotone: %v %v %v", s.P50, s.P95, s.P99)
 	}
+
+	// All-zero samples: every quantile clamps to the zero maximum
+	// instead of reporting bucket 0's upper edge.
+	var zero Latency
+	for i := 0; i < 100; i++ {
+		zero.Record(0)
+	}
+	if z := zero.Snapshot(); z.Mean != 0 || z.P50 != 0 || z.P99 != 0 || z.P999 != 0 {
+		t.Errorf("all-zero samples: %+v, want zero quantiles", z)
+	}
 }
 
 func TestLatencyReset(t *testing.T) {

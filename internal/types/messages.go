@@ -4,28 +4,13 @@ package types
 // replicas. The network layer carries them as interface values; the
 // codec registers the concrete types for wire encoding.
 
-// ProposalMsg disseminates a block proposal from the view leader.
-//
-// In digest mode (Config.DigestProposals) the block travels stripped:
-// Block.Payload is empty, Block.Digest commits to the payload, and
-// PayloadIDs lists the batched transactions in order. Followers
-// rebuild the payload from their indexed mempool and fall back to a
-// FetchMsg when transactions are missing — the data plane rides the
-// client fan-out path instead of the leader's proposal.
+// ProposalMsg disseminates a block proposal, payload included, from
+// the view leader.
 type ProposalMsg struct {
 	Block *Block
 	// TC, if non-nil, justifies proposing after a view change: it
 	// proves a quorum abandoned the previous view.
 	TC *TC
-	// PayloadIDs, when non-empty, identifies the stripped payload's
-	// transactions in batch order (digest mode only).
-	PayloadIDs []TxID
-}
-
-// IsDigest reports whether the proposal travels in digest form: the
-// payload replaced by its digest plus the ordered transaction IDs.
-func (m *ProposalMsg) IsDigest() bool {
-	return m.Block != nil && len(m.Block.Payload) == 0 && len(m.PayloadIDs) > 0
 }
 
 // VoteMsg carries a vote, routed either to the next leader (HotStuff
@@ -48,15 +33,6 @@ type TCMsg struct {
 // RequestMsg submits a transaction from a client to a replica.
 type RequestMsg struct {
 	Tx Transaction
-}
-
-// PayloadBatchMsg replicates a batch of client transactions to peer
-// mempools — the data plane of digest mode. Replicas forward the
-// transactions they receive in batches, off the consensus critical
-// path, so any leader's digest proposal resolves from the follower's
-// own pool instead of riding the proposal.
-type PayloadBatchMsg struct {
-	Txs []Transaction
 }
 
 // ReplyMsg confirms to a client that its transaction committed, or —

@@ -153,8 +153,8 @@ type Block struct {
 	Payload []Transaction
 	// Digest commits to the payload (see DigestPayload). It is
 	// computed lazily from Payload for full blocks and carried
-	// explicitly on digest-only proposals, whose Payload is empty
-	// until the follower resolves it from its mempool.
+	// explicitly on stripped blocks (StripPayload), whose Payload is
+	// empty.
 	Digest Hash
 	// Sig is the proposer's signature over the block ID.
 	Sig []byte
@@ -180,8 +180,8 @@ func (b *Block) PayloadDigest() Hash {
 // The hash covers view, proposer, parent link, the certified parent's
 // view, and the payload digest — everything that determines the
 // block's position and contents. Because the payload enters through
-// its digest, the ID of a digest-only proposal equals the ID of the
-// full block, so signatures verify before the payload is resolved.
+// its digest, a stripped block (StripPayload) keeps the ID — and so
+// the signature — of the full block.
 func (b *Block) ID() Hash {
 	b.idOnce.Do(b.computeID)
 	return b.id
@@ -211,8 +211,8 @@ func (b *Block) computeID() {
 }
 
 // StripPayload returns a copy of the block carrying the payload digest
-// instead of the payload itself — the wire form of a digest-only
-// proposal. The copy shares the (immutable) QC and signature and has
+// instead of the payload itself — the header a state snapshot anchors
+// to. The copy shares the (immutable) QC and signature and has
 // its ID pre-computed, so concurrent receivers never mutate the
 // original block.
 func (b *Block) StripPayload() *Block {
@@ -221,24 +221,6 @@ func (b *Block) StripPayload() *Block {
 		Proposer: b.Proposer,
 		Parent:   b.Parent,
 		QC:       b.QC,
-		Digest:   b.PayloadDigest(),
-		Sig:      b.Sig,
-	}
-	cp.idOnce.Do(func() { cp.id = b.ID() })
-	return cp
-}
-
-// WithPayload returns a copy of the block with the resolved payload
-// attached. It is the inverse of StripPayload on the follower side;
-// the caller must have checked that DigestPayload(payload) matches
-// the block's digest.
-func (b *Block) WithPayload(payload []Transaction) *Block {
-	cp := &Block{
-		View:     b.View,
-		Proposer: b.Proposer,
-		Parent:   b.Parent,
-		QC:       b.QC,
-		Payload:  payload,
 		Digest:   b.PayloadDigest(),
 		Sig:      b.Sig,
 	}

@@ -39,11 +39,14 @@ const (
 	TagSnapshotManifest WireTag = 9
 	TagSnapshotChunk    WireTag = 10
 	TagRequest          WireTag = 11
-	TagPayloadBatch     WireTag = 12
-	TagReply            WireTag = 13
-	TagQuery            WireTag = 14
-	TagQueryReply       WireTag = 15
-	TagSlow             WireTag = 16
+	// TagRetiredPayloadBatch (12) carried the payload-sync batches of
+	// the retired digest-proposal data plane. It stays reserved and is
+	// never reused; decoders refuse it as an unknown tag.
+	TagRetiredPayloadBatch WireTag = 12
+	TagReply               WireTag = 13
+	TagQuery               WireTag = 14
+	TagQueryReply          WireTag = 15
+	TagSlow                WireTag = 16
 )
 
 // WireTagOf returns the stable tag for a registered wire message, or
@@ -73,8 +76,6 @@ func WireTagOf(msg any) (WireTag, bool) {
 		return TagSnapshotChunk, true
 	case RequestMsg:
 		return TagRequest, true
-	case PayloadBatchMsg:
-		return TagPayloadBatch, true
 	case ReplyMsg:
 		return TagReply, true
 	case QueryMsg:
